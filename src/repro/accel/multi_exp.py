@@ -19,27 +19,31 @@ big-int multiplies, and the shortest exponent pads up to the longest —
 so the ladder is gone; the split evaluation above is what made accel-on
 finally beat accel-off on one core.
 
+Negative exponents reach the tables too.  Many terms on registered
+bases carry a negative exponent (``y^-s3``, ``g^-s3``, ``ped_h^-s_z``,
+``ped_g^-s_z`` in verify; ``y^-t_z``, ``g^-t_z`` in sign), among them
+the largest exponents in the protocol.  Inverting the *base* first
+would hand an unregistered inverse to the lookup, so each term instead
+evaluates ``base^|e|`` (from the table when the base has one) and then
+inverts the *power*: ``(b^|e|)^-1 == (b^-1)^|e|`` for any unit ``b``,
+and ``b^|e|`` is a unit exactly when ``b`` is, so a non-invertible base
+still raises :class:`repro.errors.ParameterError`.
+
 Accounting contract (the E1 invariant): a ``k``-term call charges
 exactly ``k`` modexps — the number of :func:`repro.crypto.modmath.mexp`
-calls it replaces — whether or not acceleration is enabled.  Negative
-exponents are normalized per-pair through
-:func:`repro.crypto.modmath.inverse`, mirroring what each replaced
-``mexp`` would have done, so the ``inversions`` extra counter is also
-independent of the accel switch.
+calls it replaces — whether or not acceleration is enabled.  Each
+negative exponent costs one :func:`repro.crypto.modmath.inverse`,
+mirroring what each replaced ``mexp`` does, so the ``inversions`` extra
+counter is also independent of the accel switch.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro import metrics
 from repro.accel import fixed_base, state
 from repro.crypto.modmath import inverse
-
-#: Historical term-group width of the retired shared-ladder evaluation;
-#: kept as the canonical "how many terms does one ACJT d-value carry"
-#: sizing constant (tests and strategies still reference it).
-GROUP_SIZE = 4
 
 
 def multi_exp(pairs: Iterable[Tuple[int, int]], modulus: int) -> int:
@@ -48,30 +52,21 @@ def multi_exp(pairs: Iterable[Tuple[int, int]], modulus: int) -> int:
 
     Bit-identical to the naive per-term product for any input; the
     fixed-base split only changes *how* the same residue is reached, and
-    only runs while :mod:`repro.accel` is enabled.
+    only runs while :mod:`repro.accel` is enabled.  A negative exponent
+    computes ``base^|e|`` and inverts that power (one counted inversion).
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    terms: List[Tuple[int, int]] = []
+    lookup = fixed_base.lookup_pow if state.is_enabled() else None
+    result, count = 1 % modulus, 0
     for base, exponent in pairs:
-        if exponent < 0:
-            base = inverse(base, modulus)
-            exponent = -exponent
-        terms.append((base % modulus, exponent))
-    if not terms:
-        return 1 % modulus
-    metrics.count_modexp(len(terms))
-    if modulus == 1:
-        return 0
-    if not state.is_enabled():
-        result = 1
-        for base, exponent in terms:
-            result = (result * pow(base, exponent, modulus)) % modulus
-        return result
-    result = 1
-    for base, exponent in terms:
-        power = fixed_base.lookup_pow(base, exponent, modulus)
+        power = lookup(base, abs(exponent), modulus) if lookup else None
         if power is None:
-            power = pow(base, exponent, modulus)
+            power = pow(base, abs(exponent), modulus)
+        if exponent < 0:
+            power = inverse(power, modulus)
         result = (result * power) % modulus
+        count += 1
+    if count:
+        metrics.count_modexp(count)
     return result

@@ -31,22 +31,22 @@ def _install_accel_pow(hook) -> None:
 def mexp(base: int, exponent: int, modulus: int) -> int:
     """Counted modular exponentiation; supports negative exponents for units.
 
-    Negative exponents are normalized through :func:`inverse` (rather than
-    handed to CPython's ``pow``) so the inversion is visible to the
-    ``inversions`` counter — the E1 ledger stays honest about what the
-    protocol actually computes.
+    A negative exponent computes ``base^|e|`` and inverts the *power*
+    through :func:`inverse` (rather than handing the sign to CPython's
+    ``pow``), so the inversion is visible to the ``inversions`` counter —
+    the E1 ledger stays honest about what the protocol actually computes.
+    Inverting the power rather than the base keeps a registered base on
+    its fixed-base table; the two agree for any unit, and a non-unit
+    base still raises :class:`ParameterError`.
     """
     if modulus <= 0:
         raise ParameterError("modulus must be positive")
     metrics.count_modexp()
-    if exponent < 0:
-        base = inverse(base, modulus)
-        exponent = -exponent
-    if _ACCEL_POW is not None:
-        accelerated = _ACCEL_POW(base, exponent, modulus)
-        if accelerated is not None:
-            return accelerated
-    return pow(base, exponent, modulus)
+    power = (_ACCEL_POW(base, abs(exponent), modulus)
+             if _ACCEL_POW is not None else None)
+    if power is None:
+        power = pow(base, abs(exponent), modulus)
+    return inverse(power, modulus) if exponent < 0 else power
 
 
 def mmul(a: int, b: int, modulus: int) -> int:
@@ -60,8 +60,8 @@ def inverse(a: int, modulus: int) -> int:
 
     Counted under the ``inversions`` extra counter: an inverse costs about
     as much as an exponentiation and the paper's cost model should not be
-    able to hide them (negative-exponent ``mexp`` calls route through
-    here for exactly that reason)."""
+    able to hide them (negative-exponent ``mexp`` and ``multi_exp`` terms
+    route through here for exactly that reason)."""
     metrics.bump("inversions")
     try:
         return pow(a, -1, modulus)

@@ -1,20 +1,28 @@
-"""Property tests for Shamir/Straus simultaneous multi-exponentiation.
+"""Property tests for fixed-base-routed multi-exponentiation.
 
 ``multi_exp`` must be bit-identical to the naive per-term product for
 every input — enabled or disabled — and must charge exactly one modexp
 per term (the E1 invariant: each term replaces one ``mexp`` call).
+Negative exponents on registered bases must reach the fixed-base tables
+without moving the ``modexp`` / ``inversions`` books.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import metrics
-from repro.accel import state
-from repro.accel.multi_exp import GROUP_SIZE, multi_exp
+from repro.accel import fixed_base, state
+from repro.accel.multi_exp import multi_exp
 from repro.crypto.modmath import inverse
+from repro.errors import ParameterError
 
 PRIME_MODULI = st.sampled_from([2, 3, 101, 7919, (1 << 61) - 1])
+#: Moduli whose random bases are units with overwhelming probability.
+UNIT_MODULI = st.sampled_from([
+    (1 << 61) - 1, (1 << 127) - 1, ((1 << 61) - 1) * ((1 << 31) - 1)])
 
 
 def _naive(pairs, modulus):
@@ -27,11 +35,24 @@ def _naive(pairs, modulus):
     return result
 
 
+def _books(call):
+    """Run ``call`` under a fresh recorder: its value, the guarded
+    ``(modexp, inversions)`` books, and the fixed-base table lookups."""
+    rec = metrics.Recorder()
+    with metrics.using(rec):
+        value = call()
+    extra = rec.total().extra
+    lookups = extra.get("accel:fb-hit", 0) + extra.get("accel:fb-miss", 0)
+    return value, (rec.total().modexp, extra.get("inversions", 0)), lookups
+
+
 @pytest.fixture(autouse=True)
 def _clean_accel_state():
     state.configure(enabled=False, window=5, cache_size=64)
+    fixed_base.clear()
     yield
     state.configure(enabled=False, window=5, cache_size=64)
+    fixed_base.clear()
 
 
 @pytest.mark.parametrize("enabled", [False, True])
@@ -39,7 +60,7 @@ class TestCorrectness:
     @given(pairs=st.lists(
         st.tuples(st.integers(min_value=0, max_value=1 << 64),
                   st.integers(min_value=0, max_value=1 << 128)),
-        min_size=0, max_size=2 * GROUP_SIZE + 1),
+        min_size=0, max_size=9),
         modulus=st.sampled_from([1, 2, 3, 101, 7919, (1 << 61) - 1, 1 << 96]))
     @settings(max_examples=120, deadline=None)
     def test_matches_naive_product(self, enabled, pairs, modulus):
@@ -49,7 +70,7 @@ class TestCorrectness:
     @given(pairs=st.lists(
         st.tuples(st.integers(min_value=1, max_value=1 << 64),
                   st.integers(min_value=-(1 << 96), max_value=1 << 96)),
-        min_size=1, max_size=GROUP_SIZE + 1),
+        min_size=1, max_size=5),
         modulus=PRIME_MODULI)
     @settings(max_examples=100, deadline=None)
     def test_negative_exponents_via_inverse(self, enabled, pairs, modulus):
@@ -94,3 +115,52 @@ class TestAccounting:
         with metrics.using(rec):
             multi_exp([], 101)
         assert rec.total().modexp == 0
+
+
+class TestRegisteredNegativeExponents:
+    """A negative exponent on a registered base is served from that
+    base's table (``base^|e|``, then one inversion of the power)."""
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=2, max_value=1 << 128),
+                  st.integers(min_value=-(1 << 320), max_value=-1)),
+        min_size=1, max_size=6),
+        positive=st.lists(st.integers(min_value=0, max_value=1 << 320),
+                          max_size=3),
+        modulus=UNIT_MODULI)
+    @settings(max_examples=60, deadline=None)
+    def test_table_served_and_books_unchanged(self, pairs, positive,
+                                              modulus):
+        pairs = [(b, e) for b, e in pairs if math.gcd(b, modulus) == 1]
+        pairs += [(b, e) for (b, _), e in zip(pairs, positive)]
+        fixed_base.clear()
+        for base, _ in pairs:
+            fixed_base.register_base(base, modulus)
+        state.configure(enabled=False)
+        off = _books(lambda: multi_exp(pairs, modulus))
+        state.configure(enabled=True)
+        on = _books(lambda: multi_exp(pairs, modulus))
+        negatives = sum(e < 0 for _, e in pairs)
+        assert on[0] == off[0] == _naive(pairs, modulus)
+        assert on[1] == off[1] == (len(pairs), negatives)
+        assert (off[2], on[2]) == (0, len(pairs))
+
+    @given(k=st.integers(min_value=1, max_value=1 << 64),
+           exponent=st.integers(min_value=1, max_value=1 << 320))
+    @settings(max_examples=30, deadline=None)
+    def test_non_invertible_registered_base_raises(self, k, exponent):
+        modulus = 7919 * 101
+        base = 101 * k
+        raised = []
+        for enabled in (False, True):
+            fixed_base.clear()
+            fixed_base.register_base(base, modulus)
+            state.configure(enabled=enabled)
+            rec = metrics.Recorder()
+            with metrics.using(rec), pytest.raises(ParameterError) as info:
+                multi_exp([(3, -5), (base, -exponent), (5, -7)], modulus)
+            raised.append((type(info.value), rec.total().modexp,
+                           rec.total().extra.get("inversions", 0)))
+        # The failing term stops the product before any modexp is
+        # charged, exactly as with accel off.
+        assert raised[0] == raised[1] == (ParameterError, 0, 2)
