@@ -3,8 +3,8 @@
 Four configurations of the same seeded handshake, m ∈ {2, 4, 8}:
 
 * ``baseline``   — accel disabled: plain ``pow`` everywhere, inline.
-* ``precompute`` — accel enabled, batching off: fixed-base tables only,
-  inline on one core.
+* ``precompute`` — accel enabled, batching off: the modexp kernel (GMP,
+  or fixed-base tables without it), inline on one core.
 * ``batched``    — accel enabled with room-scale batch verification
   (:mod:`repro.accel.batch`): one ScanCache deduplicates the Phase III
   decrypt/verify scan across parties, still inline on one core.
@@ -162,6 +162,7 @@ def test_accel_sweep(benchmark, bench_scheme1):
                 f"m={m}: {mode} changed outputs or counters"
 
     cpus = os.cpu_count() or 1
+    kernel = accel.stats()["kernel"]
     walls = {m: {mode: results[m][mode][2] for mode in modes} for m in SWEEP}
     speedup_m8 = walls[8]["precompute"] / walls[8]["pooled"]
     speedup_asserted = cpus >= 2
@@ -190,7 +191,8 @@ def test_accel_sweep(benchmark, bench_scheme1):
         ))
     emit(
         "accel_sweep",
-        f"Accel: baseline vs precompute vs batched vs pooled ({cpus} CPUs; "
+        f"Accel: baseline vs precompute vs batched vs pooled ({cpus} CPUs, "
+        f"kernel {kernel}; "
         f"counters bit-identical across all modes; m=8 scan "
         f"{scan_speedup_m8:.2f}x batched)",
         ("m", "E1/party", "base(s)", "pre(s)", "batch(s)", "pool(s)",
@@ -200,6 +202,7 @@ def test_accel_sweep(benchmark, bench_scheme1):
 
     doc = {
         "cpus": cpus,
+        "kernel": kernel,
         "sweep": [
             {
                 "m": m,

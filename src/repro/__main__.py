@@ -110,7 +110,7 @@ def _apply_accel(args: argparse.Namespace) -> bool:
 def _accel_summary() -> str:
     stats = accel.stats()
     fb = stats["fixed_base"]
-    line = (f"accel: enabled={stats['enabled']} "
+    line = (f"accel: enabled={stats['enabled']} kernel={stats['kernel']} "
             f"fixed-base hits/misses={fb['hits']}/{fb['misses']} "
             f"tables={fb['tables']}/{fb['capacity']}")
     if stats["pool"]:
@@ -948,6 +948,7 @@ def _status(args: argparse.Namespace) -> int:
         pool = accel_stats.get("pool") or {}
         bridge = accel_stats.get("bridge", {})
         print(f"accel: enabled={accel_stats.get('enabled')}  "
+              f"kernel={accel_stats.get('kernel', 'builtin')}  "
               f"fixed-base hits/misses={fb.get('hits', 0)}/"
               f"{fb.get('misses', 0)} tables={fb.get('tables', 0)}  "
               f"pool tasks={pool.get('tasks', 0)}  "

@@ -1,7 +1,10 @@
 """repro.accel — crypto acceleration subsystem.
 
-Three layers, all behaviour-preserving (see docs/PERFORMANCE.md):
+Four layers, all behaviour-preserving (see docs/PERFORMANCE.md):
 
+0. **Kernel** (:mod:`repro.accel.kernel`) — every modular power and
+   inverse through the system GMP library when it can be loaded
+   (optional; fixed-base tables plus builtin ``pow`` otherwise).
 1. **Algorithmic** (:mod:`repro.accel.fixed_base`,
    :mod:`repro.accel.multi_exp`, :mod:`repro.accel.batch`) — fixed-base
    windowed precomputation for long-lived bases, term-by-term
@@ -19,24 +22,25 @@ Everything is off by default and switched with :func:`configure` /
 every protocol output are bit-identical with acceleration on or off.
 New ``accel:*`` extra counters and histograms ride on top.
 
-Importing this package installs the fixed-base hook into
-:func:`repro.crypto.modmath.mexp`; the hook is inert until enabled.
+Importing this package installs the kernel dispatch into
+:mod:`repro.crypto.modmath`; it stays on builtin ``pow`` until enabled,
+and loads GMP only on first use.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.accel import bridge, fixed_base, state
-from repro.accel.fixed_base import (FixedBaseTable, lookup_pow,
-                                    register_base, unregister_base)
+from repro.accel import bridge, fixed_base, kernel, state
+from repro.accel.fixed_base import (FixedBaseTable, register_base,
+                                    unregister_base)
 from repro.accel.multi_exp import multi_exp
 from repro.accel.pool import WorkerPool
 from repro.crypto import modmath as _modmath
 from repro.accel import batch  # noqa: E402  (needs fixed_base/state above)
 from repro.accel.batch import ScanCache, batch_verify, verify_room
 
-_modmath._install_accel_pow(lookup_pow)
+_modmath._install_accel(kernel.power, kernel.invert)
 
 __all__ = [
     "FixedBaseTable",
@@ -50,6 +54,7 @@ __all__ = [
     "enable",
     "get_pool",
     "is_enabled",
+    "kernel",
     "multi_exp",
     "register_base",
     "reset",
@@ -67,7 +72,8 @@ def configure(enabled: Optional[bool] = None, *,
               cache_size: Optional[int] = None,
               workers: Optional[int] = None,
               batch: Optional[bool] = None) -> Dict[str, object]:
-    """Set any subset of the subsystem switches; returns the snapshot."""
+    """Set any subset of the subsystem switches; returns the switches
+    (:func:`stats` also reports the ``kernel``)."""
     snap = state.configure(enabled=enabled, window=window,
                            cache_size=cache_size, workers=workers,
                            batch=batch)
@@ -118,6 +124,7 @@ def stats() -> Dict[str, object]:
         "window": snap["window"],
         "workers": snap["workers"],
         "batch": snap["batch"],
+        "kernel": snap["kernel"],
         "fixed_base": fixed_base.stats(),
         "pool": dict(_POOL.stats, workers=_POOL.workers,
                      usable=_POOL.usable) if _POOL is not None else None,

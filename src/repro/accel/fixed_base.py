@@ -12,10 +12,15 @@ so any exponent becomes one modular multiply per non-zero ``window``-bit
 digit — no squarings at all — at the cost of ``2^window`` stored powers
 per digit row, built once and cached.
 
+Without the system GMP library these tables carry the acceleration;
+with it, :mod:`repro.accel.kernel` serves every power and no table is
+built.
+
 Accounting contract (the E1 invariant): a table lookup **replaces** one
-``pow`` call inside :func:`repro.crypto.modmath.mexp`, which has already
-charged its modexp before consulting the hook — so the guarded counters
-are identical with the subsystem on or off.  Cache behaviour is layered
+``pow`` call inside :func:`repro.crypto.modmath.mexp` or
+:func:`repro.accel.multi_exp.multi_exp`, which have already charged
+their modexps before dispatching — so the guarded counters are
+identical with the subsystem on or off.  Cache behaviour is layered
 on top as new ``accel:fb-hit`` / ``accel:fb-miss`` extra counters.
 
 Only *registered* bases get tables: :func:`register_base` is called from
@@ -254,11 +259,12 @@ def is_registered(base: int, modulus: int) -> bool:
 
 
 def lookup_pow(base: int, exponent: int, modulus: int) -> Optional[int]:
-    """The :func:`repro.crypto.modmath.mexp` hook.
+    """The table step of :func:`repro.accel.kernel.power` (taken when
+    the GMP kernel is not loaded).
 
     Returns the power for registered bases while acceleration is on, or
-    ``None`` to tell ``mexp`` to fall back to builtin ``pow``.  The
-    caller has already charged the modexp; this layers ``accel:fb-hit``
+    ``None`` to fall back to builtin ``pow``.  The caller has already
+    charged the modexp; this layers ``accel:fb-hit``
     / ``accel:fb-miss`` extras on top (a *miss* is a registered base
     whose table had to be built — unregistered bases count nothing).
     """

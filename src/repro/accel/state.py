@@ -1,9 +1,9 @@
 """Global configuration for the acceleration subsystem.
 
-Kept in its own leaf module (no imports beyond the standard library) so
-``fixed_base``/``multi_exp``/``pool`` can consult the switches without
-pulling in the package ``__init__`` — which would create an import cycle
-through :mod:`repro.crypto.modmath`.
+Kept in its own leaf module (no module-level imports beyond the standard
+library) so ``kernel``/``fixed_base``/``multi_exp``/``pool`` can consult
+the switches without pulling in the package ``__init__`` — which would
+create an import cycle through :mod:`repro.crypto.modmath`.
 
 The subsystem is **off by default**: every algorithm must produce
 bit-identical results either way, so enabling it is purely a performance
@@ -36,7 +36,8 @@ def configure(enabled: Optional[bool] = None,
               cache_size: Optional[int] = None,
               workers: Optional[int] = None,
               batch: Optional[bool] = None) -> Dict[str, object]:
-    """Update any subset of the switches; returns the resulting snapshot."""
+    """Update any subset of the switches; returns the resulting switches
+    (without ``kernel``: configuring never loads the kernel)."""
     global _ENABLED, _WINDOW, _CACHE_SIZE, _WORKERS, _BATCH
     with _LOCK:
         if enabled is not None:
@@ -55,10 +56,10 @@ def configure(enabled: Optional[bool] = None,
             _WORKERS = int(workers)
         if batch is not None:
             _BATCH = bool(batch)
-        return snapshot()
+        return _switches()
 
 
-def snapshot() -> Dict[str, object]:
+def _switches() -> Dict[str, object]:
     with _LOCK:
         return {
             "enabled": _ENABLED,
@@ -67,6 +68,14 @@ def snapshot() -> Dict[str, object]:
             "workers": _WORKERS,
             "batch": _BATCH,
         }
+
+
+def snapshot() -> Dict[str, object]:
+    """The switches, plus the read-only ``kernel`` that serves powers
+    while the subsystem is enabled (reading it loads the kernel)."""
+    from repro.accel import kernel
+
+    return dict(_switches(), kernel=kernel.name())
 
 
 def enable(workers: Optional[int] = None) -> None:

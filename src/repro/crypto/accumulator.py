@@ -33,7 +33,8 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from repro.crypto import hashing
 from repro.crypto.commitments import IntegerPedersenScheme
-from repro.crypto.modmath import egcd, int_in_symmetric_range, mexp, random_int_symmetric
+from repro.crypto.modmath import (egcd, int_in_symmetric_range, mexp, power,
+                                  random_int_symmetric)
 from repro.crypto.params import AcjtLengths
 from repro.crypto.rsa import RsaGroup
 from repro.errors import ParameterError, RevocationError, VerificationError
@@ -156,7 +157,7 @@ def verify_witness(public: AccumulatorPublic, witness: int, e: int) -> bool:
     """Public check: witness^e == value (mod n)."""
     if not 1 < witness < public.n:
         return False
-    return pow(witness, e, public.n) == public.value
+    return power(witness, e, public.n) == public.value
 
 
 def update_witness_after_add(witness: int, added_e: int, n: int) -> int:
@@ -250,14 +251,14 @@ class AccumulatorMembershipProof:
         rng = rng or random
         n = public.n
         g, h = pedersen.g, pedersen.h
-        if pow(witness, e, n) != public.value:
+        if power(witness, e, n) != public.value:
             raise ParameterError("witness does not open the accumulator")
 
         r1 = pedersen.group.random_qr_exponent(rng)
         r2 = pedersen.group.random_qr_exponent(rng)
         r3 = pedersen.group.random_qr_exponent(rng)
         c_e = pedersen.commit_with(e, r1)
-        c_u = (witness * pow(h, r2, n)) % n
+        c_u = (witness * power(h, r2, n)) % n
         c_r = pedersen.commit_with(r2, r3)
         z = e * r2
         w3 = e * r3

@@ -16,16 +16,26 @@ from repro import metrics
 from repro.errors import ParameterError
 
 
-#: Optional fast path installed by :mod:`repro.accel` on import:
-#: ``hook(base, exponent, modulus)`` returns the power for bases with a
-#: precomputed table, or ``None`` to fall back to builtin ``pow``.  The
-#: hook runs *after* counting so the E1 books are hook-independent.
-_ACCEL_POW = None
+def _builtin_power(base: int, exponent: int, modulus: int) -> int:
+    return pow(base, exponent, modulus)
 
 
-def _install_accel_pow(hook) -> None:
-    global _ACCEL_POW
-    _ACCEL_POW = hook
+def _builtin_invert(a: int, modulus: int) -> int:
+    return pow(a, -1, modulus)
+
+
+#: How powers and inverses are computed.  :mod:`repro.accel` replaces
+#: both on import with its dispatch (:mod:`repro.accel.kernel`: GMP,
+#: else fixed-base tables, else builtin ``pow``, and builtin ``pow``
+#: whenever accel is off).  Callers count *before* dispatching, so the
+#: E1 books are dispatch-independent.
+_POWER = _builtin_power
+_INVERT = _builtin_invert
+
+
+def _install_accel(power, invert) -> None:
+    global _POWER, _INVERT
+    _POWER, _INVERT = power, invert
 
 
 def mexp(base: int, exponent: int, modulus: int) -> int:
@@ -42,11 +52,15 @@ def mexp(base: int, exponent: int, modulus: int) -> int:
     if modulus <= 0:
         raise ParameterError("modulus must be positive")
     metrics.count_modexp()
-    power = (_ACCEL_POW(base, abs(exponent), modulus)
-             if _ACCEL_POW is not None else None)
-    if power is None:
-        power = pow(base, abs(exponent), modulus)
-    return inverse(power, modulus) if exponent < 0 else power
+    value = _POWER(base, abs(exponent), modulus)
+    return inverse(value, modulus) if exponent < 0 else value
+
+
+def power(base: int, exponent: int, modulus: int) -> int:
+    """*Uncounted* ``pow(base, exponent, modulus)`` through the same
+    kernel as :func:`mexp`, for work outside the paper's cost model
+    (Miller-Rabin rounds, witness sanity checks)."""
+    return _POWER(base, exponent, modulus)
 
 
 def mmul(a: int, b: int, modulus: int) -> int:
@@ -64,7 +78,7 @@ def inverse(a: int, modulus: int) -> int:
     route through here for exactly that reason)."""
     metrics.bump("inversions")
     try:
-        return pow(a, -1, modulus)
+        return _INVERT(a, modulus)
     except ValueError as exc:
         raise ParameterError(f"{a} not invertible mod {modulus}") from exc
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional
 
+from repro.crypto.modmath import power
 from repro.errors import ParameterError
 
 _SIEVE_LIMIT = 4096
@@ -48,7 +49,7 @@ def is_prime(n: int, rounds: int = 32, rng: Optional[random.Random] = None) -> b
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = power(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

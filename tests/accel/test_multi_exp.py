@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import metrics
-from repro.accel import fixed_base, state
+from repro.accel import fixed_base, kernel, state
 from repro.accel.multi_exp import multi_exp
 from repro.crypto.modmath import inverse
 from repro.errors import ParameterError
@@ -117,9 +117,11 @@ class TestAccounting:
         assert rec.total().modexp == 0
 
 
+@pytest.mark.usefixtures("kernel_fallback")
 class TestRegisteredNegativeExponents:
-    """A negative exponent on a registered base is served from that
-    base's table (``base^|e|``, then one inversion of the power)."""
+    """Without GMP, a negative exponent on a registered base is served
+    from that base's table (``base^|e|``, then one inversion of the
+    power)."""
 
     @given(pairs=st.lists(
         st.tuples(st.integers(min_value=2, max_value=1 << 128),
@@ -164,3 +166,47 @@ class TestRegisteredNegativeExponents:
         # The failing term stops the product before any modexp is
         # charged, exactly as with accel off.
         assert raised[0] == raised[1] == (ParameterError, 0, 2)
+
+
+class TestKernelRegisteredBases:
+    """On the GMP kernel path the same products reach the same result
+    and books without consulting any table."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_gmp(self):
+        if kernel.loaded() is None:
+            pytest.skip("the system GMP library is not available")
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=2, max_value=1 << 128),
+                  st.integers(min_value=-(1 << 320), max_value=1 << 320)),
+        min_size=1, max_size=6),
+        modulus=UNIT_MODULI)
+    @settings(max_examples=60, deadline=None)
+    def test_no_table_and_books_unchanged(self, pairs, modulus):
+        pairs = [(b, e) for b, e in pairs if math.gcd(b, modulus) == 1]
+        fixed_base.clear()
+        for base, _ in pairs:
+            fixed_base.register_base(base, modulus)
+        state.configure(enabled=False)
+        off = _books(lambda: multi_exp(pairs, modulus))
+        state.configure(enabled=True)
+        on = _books(lambda: multi_exp(pairs, modulus))
+        assert on == off
+        assert on[0] == _naive(pairs, modulus)
+        assert on[1] == (len(pairs), sum(e < 0 for _, e in pairs))
+        assert on[2] == 0 and fixed_base.stats()["tables"] == 0
+
+    def test_non_invertible_base_raises_like_accel_off(self):
+        modulus = 7919 * 101
+        raised = []
+        for enabled in (False, True):
+            state.configure(enabled=enabled)
+            rec = metrics.Recorder()
+            with metrics.using(rec), pytest.raises(ParameterError) as info:
+                multi_exp([(3, -5), (101 * 7, -(1 << 300)), (5, -7)],
+                          modulus)
+            raised.append((str(info.value), rec.total().modexp,
+                           rec.total().extra.get("inversions", 0)))
+        assert raised[0] == raised[1]
+        assert raised[0][1:] == (0, 2)

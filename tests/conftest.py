@@ -106,3 +106,16 @@ def service_world() -> SchemeWorld:
     criterion is a 5-party handshake over real sockets)."""
     return _build_world(create_scheme1, "nsa",
                         ("p0", "p1", "p2", "p3", "p4"), 6006)
+
+
+@pytest.fixture
+def kernel_fallback(monkeypatch):
+    """Run as on a machine without libgmp: the accel kernel's loader
+    finds nothing, so accelerated powers take the fixed-base tables and
+    builtin ``pow``.  The real loader and its cached result come back
+    after the test."""
+    from repro.accel import kernel
+
+    monkeypatch.setattr(kernel, "_load", lambda: None)
+    monkeypatch.setattr(kernel, "_GMP", kernel._UNLOADED)
+    assert kernel.name() == "builtin"

@@ -188,39 +188,44 @@ class TestCounterHonesty:
         assert rec.total().extra.get("inversions") == 1
 
 
+def _registered_mexp(enabled, base, exponent, modulus):
+    """``mexp`` on a freshly registered base: its value (or the error
+    type), the ``(modexp, inversions)`` books and the table lookups."""
+    from repro import metrics
+    from repro.accel import fixed_base, state
+
+    fixed_base.clear()
+    fixed_base.register_base(base, modulus)
+    state.configure(enabled=enabled)
+    rec = metrics.Recorder()
+    with metrics.using(rec):
+        try:
+            value = modmath.mexp(base, exponent, modulus)
+        except ParameterError as exc:
+            value = type(exc)
+    extra = rec.total().extra
+    books = (rec.total().modexp, extra.get("inversions", 0))
+    lookups = extra.get("accel:fb-hit", 0) + extra.get("accel:fb-miss", 0)
+    return value, books, lookups
+
+
+@pytest.fixture
+def _clean_accel_state():
+    from repro.accel import fixed_base, state
+
+    state.configure(enabled=False, window=5, cache_size=64)
+    fixed_base.clear()
+    yield
+    state.configure(enabled=False, window=5, cache_size=64)
+    fixed_base.clear()
+
+
+@pytest.mark.usefixtures("_clean_accel_state", "kernel_fallback")
 class TestRegisteredNegativeExponents:
-    """``mexp`` serves a negative exponent on a registered base from the
-    base's fixed-base table (``base^|e|``, then one inversion of the
-    power) with the same result and books as the plain path."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_accel_state(self):
-        from repro.accel import fixed_base, state
-
-        state.configure(enabled=False, window=5, cache_size=64)
-        fixed_base.clear()
-        yield
-        state.configure(enabled=False, window=5, cache_size=64)
-        fixed_base.clear()
-
-    @staticmethod
-    def _run(enabled, base, exponent, modulus):
-        from repro import metrics
-        from repro.accel import fixed_base, state
-
-        fixed_base.clear()
-        fixed_base.register_base(base, modulus)
-        state.configure(enabled=enabled)
-        rec = metrics.Recorder()
-        with metrics.using(rec):
-            try:
-                value = modmath.mexp(base, exponent, modulus)
-            except ParameterError as exc:
-                value = type(exc)
-        extra = rec.total().extra
-        books = (rec.total().modexp, extra.get("inversions", 0))
-        lookups = extra.get("accel:fb-hit", 0) + extra.get("accel:fb-miss", 0)
-        return value, books, lookups
+    """Without GMP, ``mexp`` serves a negative exponent on a registered
+    base from the base's fixed-base table (``base^|e|``, then one
+    inversion of the power) with the same result and books as the plain
+    path."""
 
     @given(base=st.integers(min_value=2, max_value=1 << 128),
            exponent=st.integers(min_value=-(1 << 320), max_value=-1),
@@ -231,8 +236,8 @@ class TestRegisteredNegativeExponents:
                                               modulus):
         if math.gcd(base, modulus) != 1:
             return
-        off = self._run(False, base, exponent, modulus)
-        on = self._run(True, base, exponent, modulus)
+        off = _registered_mexp(False, base, exponent, modulus)
+        on = _registered_mexp(True, base, exponent, modulus)
         assert on[0] == off[0] == pow(pow(base, -1, modulus), -exponent,
                                       modulus)
         assert on[1] == off[1] == (1, 1)
@@ -243,6 +248,41 @@ class TestRegisteredNegativeExponents:
     @settings(max_examples=30, deadline=None)
     def test_non_invertible_registered_base_raises(self, k, exponent):
         modulus = 7919 * 101
-        off = self._run(False, 101 * k, exponent, modulus)
-        on = self._run(True, 101 * k, exponent, modulus)
+        off = _registered_mexp(False, 101 * k, exponent, modulus)
+        on = _registered_mexp(True, 101 * k, exponent, modulus)
         assert off[:2] == on[:2] == (ParameterError, (1, 1))
+
+
+@pytest.mark.usefixtures("_clean_accel_state")
+class TestKernelRegisteredNegativeExponents:
+    """The same calls on the GMP kernel path: same result and books, and
+    no table is consulted."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_gmp(self):
+        from repro.accel import kernel
+
+        if kernel.loaded() is None:
+            pytest.skip("the system GMP library is not available")
+
+    @given(base=st.integers(min_value=2, max_value=1 << 128),
+           exponent=st.integers(min_value=-(1 << 320), max_value=-1),
+           modulus=st.sampled_from([(1 << 61) - 1, (1 << 127) - 1,
+                                    ((1 << 61) - 1) * ((1 << 31) - 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_no_table_and_books_unchanged(self, base, exponent, modulus):
+        if math.gcd(base, modulus) != 1:
+            return
+        off = _registered_mexp(False, base, exponent, modulus)
+        on = _registered_mexp(True, base, exponent, modulus)
+        assert on == off == (pow(pow(base, -1, modulus), -exponent,
+                                 modulus), (1, 1), 0)
+
+    @given(k=st.integers(min_value=1, max_value=1 << 64),
+           exponent=st.integers(min_value=-(1 << 320), max_value=-1))
+    @settings(max_examples=30, deadline=None)
+    def test_non_invertible_registered_base_raises(self, k, exponent):
+        modulus = 7919 * 101
+        off = _registered_mexp(False, 101 * k, exponent, modulus)
+        on = _registered_mexp(True, 101 * k, exponent, modulus)
+        assert off == on == (ParameterError, (1, 1), 0)
